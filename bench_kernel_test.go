@@ -152,3 +152,49 @@ func TestKernelRCStreamQueuesDisabledAllocs(t *testing.T) {
 		t.Errorf("RC stream with queues disabled: %d allocs/op, want <= 2", a)
 	}
 }
+
+// BenchmarkKernelStaleTimers measures the timer pattern of RC over a long
+// WAN: each op is one message that crosses a 10 ms wire, is acknowledged
+// over the 10 ms return path, and arms a 500 ms retransmission timer that
+// fires long after the ack, as a no-op. A message leaves every microsecond,
+// so a long run keeps up to 500k timers pending. Wire, acks and timers are
+// each a sim.Line — FIFO by construction, so the handlers take their
+// message from a counter rather than an argument — and the heap holds a
+// handful of entries however many timers are armed.
+func BenchmarkKernelStaleTimers(b *testing.B) {
+	env := sim.NewEnv()
+	stage, wire, acks, retries := env.NewLine(), env.NewLine(), env.NewLine(), env.NewLine()
+	acked := make([]bool, b.N)
+	sent, delivered, nacked, expired, retransmits := 0, 0, 0, 0, 0
+	ack := func(any) {
+		acked[nacked] = true
+		nacked++
+	}
+	deliver := func(any) {
+		delivered++
+		acks.AtArg(10*sim.Millisecond, ack, nil)
+	}
+	expire := func(any) {
+		if !acked[expired] {
+			retransmits++
+		}
+		expired++
+	}
+	var send func(any)
+	send = func(any) {
+		wire.AtArg(10*sim.Millisecond, deliver, nil)
+		retries.AtArg(500*sim.Millisecond, expire, nil)
+		if sent++; sent < b.N {
+			stage.AtArg(sim.Microsecond, send, nil)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	stage.AtArg(0, send, nil)
+	env.Run()
+	b.StopTimer()
+	if delivered != b.N || expired != b.N || retransmits != 0 {
+		b.Fatalf("delivered %d, expired %d, retransmits %d; want %d, %d, 0", delivered, expired, retransmits, b.N, b.N)
+	}
+	reportKernelRate(b, env.Executed())
+}

@@ -198,7 +198,7 @@ func (f *Fabric) AddHCA(name string) *HCA {
 // AddSwitch creates a switch with the given forwarding latency (use
 // ib.SwitchDelay for a normal cluster switch) on the UseEnv environment.
 func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
-	s := &Switch{fab: f, env: f.cur, name: name, fwd: forwardDelay, routes: make(map[LID]*Port)}
+	s := &Switch{fab: f, env: f.cur, name: name, fwd: forwardDelay, fwds: f.cur.NewLine(), routes: make(map[LID]*Port)}
 	f.addDevice(s)
 	return s
 }
@@ -440,6 +440,10 @@ type Port struct {
 	// forwarding) rides the kernel's closure-free AtArg path.
 	deliverArg func(any)
 	sendArg    func(any)
+	// prop carries packets toward a peer on the same environment: arrival
+	// times follow departure order, so the whole flight on the wire takes
+	// one heap slot (see sim.Line).
+	prop *sim.Line
 	// cong holds the bounded-queue state for this direction when the link
 	// has a QueueConfig; nil means the unbounded seed path.
 	cong *portQueue
@@ -460,16 +464,19 @@ type portQueue struct {
 	waitq sim.Ring[*packet]
 	// drainArg is the long-lived drain handler for closure-free AtArg.
 	drainArg func(any)
+	// drains holds the pending drain events, one per admitted packet, in
+	// departure order.
+	drains *sim.Line
 }
 
 func newPortQueue(p *Port) *portQueue {
-	q := &portQueue{}
+	q := &portQueue{drains: p.env.NewLine()}
 	q.drainArg = func(any) { p.drain() }
 	return q
 }
 
 func newPort(env *sim.Env, dev Device, link *Link) *Port {
-	p := &Port{env: env, dev: dev, link: link}
+	p := &Port{env: env, dev: dev, link: link, prop: env.NewLine()}
 	p.deliverArg = func(v any) { p.dev.receive(v.(*packet), p) }
 	p.sendArg = func(v any) { p.send(v.(*packet)) }
 	return p
@@ -493,8 +500,11 @@ func (p *Port) sendBounded(pkt *packet) {
 	q := p.cong
 	cfg := p.link.qcfg
 	// A packet larger than the whole queue is admitted when the queue is
-	// empty — otherwise it could never transmit at all.
-	if q.depth > 0 && q.depth+pkt.wire > cfg.QueueBytes {
+	// empty — otherwise it could never transmit at all. On a lossless link
+	// nothing is admitted past a credit-stalled packet: a short packet
+	// that fits the headroom would overtake its predecessors, and RC reads
+	// that reordering as loss.
+	if q.waitq.Len() > 0 || (q.depth > 0 && q.depth+pkt.wire > cfg.QueueBytes) {
 		fab := p.dev.fabric()
 		if cfg.Lossless {
 			// Credit-based link-level flow control: the next hop withholds
@@ -538,7 +548,7 @@ func (p *Port) admit(pkt *packet) {
 		fab.obs.wanQueueDepth.Observe(int64(q.depth))
 	}
 	depart := p.transmit(pkt)
-	p.env.AtArg(depart-p.env.Now(), q.drainArg, nil)
+	q.drains.AtArg(depart-p.env.Now(), q.drainArg, nil)
 }
 
 // drain releases one packet's bytes at its departure instant and re-admits
@@ -606,9 +616,12 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 		return depart
 	}
 	arrive := depart + p.link.prop
-	// The peer may live on another shard (the WAN hop of a sharded world);
-	// AtArgOn degrades to plain AtArg when both ports share an environment.
-	p.env.AtArgOn(p.peer.env, arrive-now, p.peer.deliverArg, pkt)
+	if p.peer.env == p.env {
+		p.prop.AtArg(arrive-now, p.peer.deliverArg, pkt)
+	} else {
+		// The WAN hop of a sharded world: deposit on the peer's shard.
+		p.env.AtArgOn(p.peer.env, arrive-now, p.peer.deliverArg, pkt)
+	}
 	return depart
 }
 
@@ -623,6 +636,7 @@ type Switch struct {
 	name   string
 	lid    LID
 	fwd    sim.Time
+	fwds   *sim.Line // packets in the forwarding pipeline, in arrival order
 	plist  []*Port
 	routes map[LID]*Port
 }
@@ -651,5 +665,5 @@ func (s *Switch) receive(pkt *packet, on *Port) {
 		s.fab.dropUnreachable(s, pkt)
 		return
 	}
-	s.env.AtArg(s.fwd, out.sendArg, pkt)
+	s.fwds.AtArg(s.fwd, out.sendArg, pkt)
 }

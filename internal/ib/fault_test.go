@@ -226,3 +226,59 @@ func TestThreeLedgerDropAccounting(t *testing.T) {
 		t.Errorf("telemetry ib.route.unreachable.drops = %d, want %d", got, unr)
 	}
 }
+
+// TestLosslessNoOvertake pins per-port FIFO order on a lossless bounded
+// link. Messages of three full packets plus a short tail fill a queue
+// bounded just over two MTU packets, so the third packet stalls on
+// credits while the short tail would still fit the headroom. Admitting
+// the tail past its stalled predecessors reorders the transfer, which RC
+// treats as loss: the sender retransmits until RETRY_EXCEEDED and the
+// receiver never completes. A lossless link must never retransmit.
+func TestLosslessNoOvertake(t *testing.T) {
+	env := sim.NewEnv()
+	f := ib.NewFabric(env)
+	a, b := f.AddHCA("a"), f.AddHCA("b")
+	lk := f.Connect(a, b, ib.SDR, ib.DefaultCableDelay)
+	f.Finalize()
+	if err := lk.ConfigureQueue(ib.QueueConfig{QueueBytes: 2*(ib.MTU+128) + 300, Lossless: true}); err != nil {
+		t.Fatal(err)
+	}
+	qa, qb := ib.CreateRCPair(a, b, nil, nil, ib.QPConfig{
+		RetryLimit: 3, RetryTimeout: 50 * sim.Millisecond, MaxInflight: 8,
+	})
+	const msgs = 4
+	done := false
+	env.Go("recv", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			qb.PostRecv(ib.RecvWR{})
+		}
+		for i := 0; i < msgs; i++ {
+			if c := qb.CQ().Poll(p); c.Status != ib.StatusOK {
+				t.Errorf("recv %d: status %v", i, c.Status)
+			}
+		}
+		done = true
+		env.Stop()
+	})
+	env.Go("send", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			qa.PostSend(ib.SendWR{Op: ib.OpSend, Len: 3*ib.MTU + 100})
+		}
+		for i := 0; i < msgs; i++ {
+			if c := qa.CQ().Poll(p); c.Status != ib.StatusOK {
+				t.Errorf("send %d: status %v", i, c.Status)
+			}
+		}
+	})
+	env.Run()
+	env.Shutdown()
+	if lk.CreditStalls() == 0 {
+		t.Fatal("no credit stall occurred: the test geometry no longer exercises the stall path")
+	}
+	if !done {
+		t.Fatal("receiver never completed all messages on a lossless link")
+	}
+	if r := qa.Stats().Retransmits; r > 0 {
+		t.Fatalf("lossless link forced %d retransmits (a packet overtook its stalled predecessors)", r)
+	}
+}

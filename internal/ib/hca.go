@@ -71,7 +71,7 @@ func (h *HCA) receive(pkt *packet, on *Port) {
 	}
 	// Per-packet HCA processing is a pipeline latency stage. The QP's
 	// cached handler consumes the packet and recycles it.
-	h.env.AtArg(PacketProc, qp.recvArg, pkt)
+	qp.stages.AtArg(PacketProc, qp.recvArg, pkt)
 }
 
 // RegisterMR registers buf as an RDMA-accessible memory region and returns

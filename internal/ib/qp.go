@@ -219,7 +219,7 @@ type QP struct {
 
 	// Cached func(any) handlers, created once per QP so the protocol's
 	// pipeline stages (packet processing, send/recv overheads, ack
-	// emission) schedule through sim.Env.AtArg without allocating a
+	// emission) schedule through the stages line without allocating a
 	// closure per message or per packet.
 	recvArg      func(any) // consume + recycle an arriving packet
 	launchArg    func(any) // transmit a transfer after SendOverhead
@@ -229,6 +229,12 @@ type QP struct {
 	readServeArg func(any) // RDMA read responder data streaming
 	recvCompArg  func(any) // recv WQE completion posting
 	udSendArg    func(any) // UD datagram transmission
+
+	// stages carries the QP's pipeline-stage events (packet processing,
+	// send/recv overheads) and retries its retransmission timers: two
+	// near-FIFO streams, each taking one heap slot (see sim.Line).
+	stages  *sim.Line
+	retries *sim.Line
 
 	stats Stats
 }
@@ -246,7 +252,8 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 		cfg.RetryLimit = DefaultRetryLimit
 	}
 	qp := &QP{hca: h, qpn: int(h.fab.nextQPN.Add(1)), cfg: cfg, cq: cq,
-		inflight: make(map[int64]*transfer), reorder: make(map[int64]*transfer)}
+		inflight: make(map[int64]*transfer), reorder: make(map[int64]*transfer),
+		stages: h.env.NewLine(), retries: h.env.NewLine()}
 	qp.recvArg = func(v any) {
 		pkt := v.(*packet)
 		qp.receive(pkt)

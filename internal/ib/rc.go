@@ -86,7 +86,7 @@ func (q *QP) kick() {
 // the data back.
 func (q *QP) launch(t *transfer) {
 	q.hca.fab.ref(t)
-	q.env().AtArg(SendOverhead, q.launchArg, t)
+	q.stages.AtArg(SendOverhead, q.launchArg, t)
 }
 
 // launchBody transmits all packets of a transfer (the SendOverhead stage).
@@ -165,7 +165,7 @@ func (q *QP) armRetry(t *transfer) {
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	q.env().At(q.cfg.RetryTimeout<<shift, func() {
+	q.retries.At(q.cfg.RetryTimeout<<shift, func() {
 		t, still := q.inflight[id]
 		if !still || t.acked || q.errored {
 			return
@@ -309,7 +309,7 @@ func (q *QP) rcData(pkt *packet, readResp bool) {
 			copy(t.wr.LocalBuf, t.readData)
 		}
 		q.hca.fab.ref(t)
-		q.env().AtArg(RecvOverheadRDMA, q.readDoneArg, t)
+		q.stages.AtArg(RecvOverheadRDMA, q.readDoneArg, t)
 		return
 	}
 	// Deliver strictly in message-sequence order. A message that overtook
@@ -369,7 +369,7 @@ func (q *QP) deliverInOrder(t *transfer) {
 			copy(t.wr.RemoteMR.Buf[t.wr.RemoteOff:], t.wr.Data)
 		}
 		q.hca.fab.ref(t)
-		q.env().AtArg(RecvOverheadRDMA, q.writeDoneArg, t)
+		q.stages.AtArg(RecvOverheadRDMA, q.writeDoneArg, t)
 	}
 }
 
@@ -393,7 +393,7 @@ func (q *QP) deliverSend(t *transfer) {
 	}
 	t.rwr = rwr
 	q.hca.fab.ref(t)
-	q.env().AtArg(RecvOverheadSR, q.recvCompArg, t)
+	q.stages.AtArg(RecvOverheadSR, q.recvCompArg, t)
 }
 
 // recvComp posts the receive completion (the RecvOverheadSR stage).
@@ -407,7 +407,7 @@ func (q *QP) recvComp(t *transfer) {
 // channel-semantics receive overhead.
 func (q *QP) sendAck(t *transfer) {
 	q.hca.fab.ref(t)
-	q.env().AtArg(RecvOverheadSR, q.ackArg, t)
+	q.stages.AtArg(RecvOverheadSR, q.ackArg, t)
 }
 
 // ackSend emits the ack (the RecvOverheadSR stage behind sendAck).
@@ -460,7 +460,7 @@ func (q *QP) rcReadReq(pkt *packet) {
 		copy(t.readData, mr.Buf[t.wr.RemoteOff:t.wr.RemoteOff+t.size])
 	}
 	q.hca.fab.ref(t)
-	q.env().AtArg(RecvOverheadRDMA, q.readServeArg, t)
+	q.stages.AtArg(RecvOverheadRDMA, q.readServeArg, t)
 }
 
 // readServe streams RDMA read response data back to the requester (the

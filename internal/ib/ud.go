@@ -31,7 +31,7 @@ func (q *QP) udPostSend(wr SendWR) {
 		t.span = obs.rec.StartAt(q.env().Now(), obs.verbsTrack(q.hca), "verbs.ud.send", wr.ParentSpan)
 	}
 	fab.ref(t)
-	q.env().AtArg(SendOverhead, q.udSendArg, t)
+	q.stages.AtArg(SendOverhead, q.udSendArg, t)
 }
 
 // udSend puts the datagram on the wire (the SendOverhead stage).
@@ -84,5 +84,5 @@ func (q *QP) udReceive(pkt *packet) {
 	q.stats.BytesRecv += int64(t.size)
 	t.rwr = rwr
 	q.hca.fab.ref(t)
-	q.env().AtArg(RecvOverheadSR, q.recvCompArg, t)
+	q.stages.AtArg(RecvOverheadSR, q.recvCompArg, t)
 }

@@ -18,7 +18,8 @@ type Env struct {
 	stopped  bool               // set by Stop to end Run early
 	nprocs   int64              // counter for default proc names
 	fatal    string             // set when a process panics; re-raised by handoff
-	executed int64              // heap entries dispatched so far
+	executed int64              // entries dispatched so far
+	lined    int                // line entries not represented by a heap key
 	evFree   []*Event           // recycled Events (see AcquireEvent)
 	tel      any                // opaque telemetry attachment (see SetTelemetry)
 	flt      any                // opaque fault-plan attachment (see SetFault)
@@ -203,7 +204,7 @@ func (e *Env) RunUntil(horizon Time) Time {
 		if e.sampleFn != nil && e.sampleNext < at {
 			e.fireSamples(at - 1)
 		}
-		ent := e.queue.pop()
+		ent := e.popNext()
 		e.dispatch(&ent)
 	}
 	if !e.stopped {
@@ -221,26 +222,26 @@ func (e *Env) Step() bool {
 	if e.queue.empty() {
 		return false
 	}
-	ent := e.queue.pop()
+	ent := e.popNext()
 	e.dispatch(&ent)
 	return true
 }
 
-// Pending returns the number of scheduled heap entries (summed across
-// shards on a partitioned world; call only between windows, not from
-// concurrently running shard code).
+// Pending returns the number of scheduled entries, whether they wait in
+// the heap or in a Line (summed across shards on a partitioned world; call
+// only between windows, not from concurrently running shard code).
 func (e *Env) Pending() int {
 	if w := e.world; w != nil {
 		n := 0
 		for _, s := range w.shards {
-			n += s.queue.len()
+			n += s.queue.len() + s.lined
 		}
 		return n
 	}
-	return e.queue.len()
+	return e.queue.len() + e.lined
 }
 
-// Executed returns the number of heap entries dispatched since the
+// Executed returns the number of entries dispatched since the
 // environment was created — a machine-independent measure of how much
 // simulation work an experiment cost. On a partitioned world it sums all
 // shards (call after Run returns, not from concurrent shard code).

@@ -18,6 +18,10 @@ const (
 	kindResume
 	// kindTrigger fires event ev with val — the timer path behind Sleep.
 	kindTrigger
+	// kindLine is a heap key of a Line (carried in val): it stands for
+	// one line entry — the head, or a head displaced by an earlier entry —
+	// and carries that entry's (at, seq). See Env.popNext.
+	kindLine
 )
 
 // entry is one scheduled occurrence. Entries live by value inside the

@@ -27,6 +27,16 @@ func (r *Ring[T]) Push(v T) {
 	r.n++
 }
 
+// pushFront prepends v before the head.
+func (r *Ring[T]) pushFront(v T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = v
+	r.n++
+}
+
 // Pop removes and returns the head element. It panics on an empty ring.
 func (r *Ring[T]) Pop() T {
 	if r.n == 0 {

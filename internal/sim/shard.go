@@ -633,7 +633,7 @@ func (s *Env) runShard(limit Time) {
 		if s.queue.peek().at >= limit {
 			return
 		}
-		ent := s.queue.pop()
+		ent := s.popNext()
 		s.dispatch(&ent)
 	}
 }

@@ -102,6 +102,10 @@ type Conn struct {
 	unacked        sim.Ring[*segment] // retransmission queue (go-back-N)
 	writeWaiters   sim.Ring[*sim.Event]
 	rtoGen         int
+	// rtos holds the armed retransmission timers, one per ack that made
+	// progress, nearly all of them stale by the time they fire; as a line
+	// they take one heap slot (see sim.Line).
+	rtos *sim.Line
 	// rtoStreak counts consecutive unproductive RTO expiries; it shifts
 	// the exponential backoff and, against MaxRetransmits, decides when
 	// the connection gives up. Any ack progress resets it.
@@ -142,6 +146,7 @@ func newConn(s *Stack, remote ib.LID, remotePort, localPort int) *Conn {
 		remotePort:  remotePort,
 		localPort:   localPort,
 		established: s.env.NewEvent(),
+		rtos:        s.env.NewLine(),
 		cwnd:        InitialCwnd * s.MSS(),
 		swnd:        s.cfg.Window, // refined by SYN/SYNACK exchange
 		ssthresh:    s.cfg.Window,
@@ -607,7 +612,7 @@ func (c *Conn) armRTO() {
 	if shift > maxRTOShift {
 		shift = maxRTOShift
 	}
-	c.stack.env.At(c.stack.cfg.RTO<<shift, func() {
+	c.rtos.At(c.stack.cfg.RTO<<shift, func() {
 		if gen != c.rtoGen || c.unacked.Len() == 0 {
 			return
 		}
