@@ -15,8 +15,10 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/ipoib"
 	"repro/internal/perftest"
 	"repro/internal/sim"
+	"repro/internal/tcpsim"
 )
 
 // reportKernelRate attaches the events/s and events/op metrics.
@@ -74,8 +76,8 @@ func BenchmarkKernelProcHandoff(b *testing.B) {
 }
 
 // BenchmarkKernelQueue measures the blocking producer/consumer channel: a
-// bounded queue forces both put-side and get-side waits, as the tcpsim
-// softirq contexts and MPI progress engines do.
+// bounded queue forces both put-side and get-side waits, as MPI progress
+// engines and application processes do.
 func BenchmarkKernelQueue(b *testing.B) {
 	env := sim.NewEnv()
 	q := sim.NewQueue[int](env, 16)
@@ -151,6 +153,46 @@ func TestKernelRCStreamQueuesDisabledAllocs(t *testing.T) {
 	if a := r.AllocsPerOp(); a > 2 {
 		t.Errorf("RC stream with queues disabled: %d allocs/op, want <= 2", a)
 	}
+}
+
+// BenchmarkKernelTCPStream measures the per-packet host stack path: four
+// TCP streams over IPoIB-UD across a 10 us WAN, each op 64 KB of synthetic
+// payload (16 KB per stream), about 33 segments through the sender's
+// transmit context, the receiver's IPoIB receive engine and its receive
+// context, plus the acks coming back the same way. Those three contexts
+// are scheduler callbacks, so no process switch is paid per packet.
+func BenchmarkKernelTCPStream(b *testing.B) {
+	const streams, chunk = 4, 16 << 10
+	env, tb := pair(sim.Micros(10))
+	net := ipoib.NewNetwork()
+	sa := tcpsim.NewStack(net.Attach(tb.A[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	sb := tcpsim.NewStack(net.Attach(tb.B[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	conns := make([]*tcpsim.Conn, streams)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range conns {
+		i, port := i, 5000+i
+		ln := sb.Listen(port)
+		env.Go("srv", func(p *sim.Proc) { conns[i], _ = ln.Accept(p) })
+		env.Go("cli", func(p *sim.Proc) {
+			c, err := sa.Dial(p, sb.Addr(), port)
+			for n := 0; n < b.N && err == nil; n++ {
+				err = c.WriteSynthetic(p, chunk)
+			}
+			if err != nil {
+				b.Error(err)
+			}
+		})
+	}
+	env.Run()
+	b.StopTimer()
+	for i, c := range conns {
+		if c == nil || c.Delivered() != int64(b.N)*chunk {
+			b.Fatalf("stream %d did not deliver %d bytes", i, b.N*chunk)
+		}
+	}
+	env.Shutdown()
+	reportKernelRate(b, env.Executed())
 }
 
 // BenchmarkKernelStaleTimers measures the timer pattern of RC over a long

@@ -56,9 +56,9 @@ func (h *HCA) setRoute(d LID, p *Port) { h.route = p }
 
 // resetRoutes is a no-op: an HCA has a single port, so its only possible
 // route survives every epoch (path choice happens at the switches).
-func (h *HCA) resetRoutes() {}
-func (h *HCA) fabric() *Fabric         { return h.fab }
-func (h *HCA) environment() *sim.Env   { return h.env }
+func (h *HCA) resetRoutes()          {}
+func (h *HCA) fabric() *Fabric       { return h.fab }
+func (h *HCA) environment() *sim.Env { return h.env }
 
 // Port returns the HCA's single port (nil before Connect).
 func (h *HCA) FabricPort() *Port { return h.port }

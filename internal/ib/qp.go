@@ -129,29 +129,83 @@ type Completion struct {
 	ECN bool
 }
 
-// CQ is a completion queue processes can block on. Entries and parked
-// pollers live in ring buffers, and poll events are recycled through the
-// environment's freelist, so steady-state completion traffic allocates
-// nothing.
+// CQ is a completion queue. It has two kinds of consumer, never both at
+// once: processes that block in Poll, or one completion handler installed
+// with Serve. Entries and parked pollers live in ring buffers, and poll
+// events are recycled through the environment's freelist, so steady-state
+// completion traffic allocates nothing.
 type CQ struct {
 	env     *sim.Env
 	items   sim.Ring[Completion]
 	waiters sim.Ring[*sim.Event]
+	// handler is the Serve consumer (nil for a polled CQ); drainFn is its
+	// cached drain, and armed reports that no drain is scheduled yet.
+	handler func(Completion)
+	drainFn func()
+	armed   bool
 }
 
 // NewCQ creates a completion queue.
 func NewCQ(env *sim.Env) *CQ { return &CQ{env: env} }
 
+// post queues a completion and raises the completion event: an armed
+// handler gets one drain scheduled (like a completion-channel event after
+// ibv_req_notify_cq), a parked poller is resumed.
 func (c *CQ) post(comp Completion) {
 	c.items.Push(comp)
+	if c.armed {
+		c.armed = false
+		c.env.At(0, c.drainFn)
+		return
+	}
 	if c.waiters.Len() > 0 {
 		c.waiters.Pop().Trigger(nil)
 	}
 }
 
+// Serve installs fn as the CQ's completion handler: a callback consumer
+// for a context that never blocks on anything but the CQ itself (an IPoIB
+// receive engine, an RPC dispatcher). A completion posted while the
+// handler is armed disarms it and schedules one zero-delay drain; the
+// drain passes every pending completion to fn in order, including those
+// posted while it runs, then re-arms. The first drain is scheduled by
+// Serve itself.
+//
+// The footprint is a polling process's, entry for entry: the first drain
+// sits where Env.Go schedules the first activation, and each later drain
+// where Poll's wake-up resume would be, so swapping a Poll loop for Serve
+// leaves Executed and the dispatch order unchanged. A served CQ must not
+// also be Polled.
+func (c *CQ) Serve(fn func(Completion)) {
+	if c.handler != nil {
+		panic("ib: CQ already has a completion handler")
+	}
+	if c.waiters.Len() > 0 {
+		panic("ib: Serve on a CQ with blocked pollers")
+	}
+	c.handler = fn
+	c.drainFn = c.drain
+	c.env.At(0, c.drainFn)
+}
+
+// drain hands every pending completion to the handler, then re-arms it.
+func (c *CQ) drain() {
+	for {
+		comp, ok := c.TryPoll()
+		if !ok {
+			break
+		}
+		c.handler(comp)
+	}
+	c.armed = true
+}
+
 // Poll blocks the calling process until a completion is available and
-// returns it.
+// returns it. It panics on a CQ that has a completion handler.
 func (c *CQ) Poll(p *sim.Proc) Completion {
+	if c.handler != nil {
+		panic("ib: Poll on a CQ that has a completion handler")
+	}
 	for c.items.Len() == 0 {
 		ev := c.env.AcquireEvent()
 		c.waiters.Push(ev)

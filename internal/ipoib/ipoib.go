@@ -103,7 +103,7 @@ type NetDev struct {
 
 // Attach creates an IPoIB interface on the HCA with the given mode and IP
 // MTU (0 selects the mode's default: 2 KB for datagram, 64 KB for
-// connected). The interface starts its receive engine immediately.
+// connected). The interface's receive engine is armed on its CQ at once.
 func (n *Network) Attach(hca *ib.HCA, mode Mode, mtu int) *NetDev {
 	switch mode {
 	case Datagram:
@@ -220,28 +220,31 @@ func (d *NetDev) connTo(peer *NetDev) *ib.QP {
 	return local
 }
 
-// startReceiver runs the interface's receive engine: it polls the CQ,
-// reposts receive buffers and dispatches inbound packets to the handler. It
-// models the single NAPI/softirq context a 2008-era IPoIB interface has —
-// receive processing for all flows on an interface is serialized, which is
-// part of why a host cannot exceed the single-interface stack ceiling no
-// matter how many TCP streams it runs (paper Figs. 6b, 7b).
+// startReceiver installs the interface's receive engine as the CQ's
+// completion handler: each drain takes every pending completion, reposts
+// a receive buffer per inbound packet and dispatches the packet to the
+// handler. It models the single NAPI/softirq context a 2008-era IPoIB
+// interface has — receive processing for all flows on an interface is
+// serialized, which is part of why a host cannot exceed the
+// single-interface stack ceiling no matter how many TCP streams it runs
+// (paper Figs. 6b, 7b). The engine never blocks, so it is a callback, not
+// a process (DESIGN §7).
 func (d *NetDev) startReceiver() {
-	d.Env().Go("ipoib-rx-"+d.hca.Name(), func(p *sim.Proc) {
-		for {
-			c := d.cq.Poll(p)
-			if c.Op != ib.OpRecv {
-				continue // send completions need no action
-			}
-			d.rxPkts++
-			if qp := d.qpByQPN(c.QPN); qp != nil {
-				qp.PostRecv(ib.RecvWR{})
-			}
-			if d.handler != nil {
-				d.handler(c.SrcLID, c.Meta, c.Bytes-EncapHeader, c.ECN)
-			}
-		}
-	})
+	d.cq.Serve(d.receive)
+}
+
+// receive handles one completion on the interface's CQ.
+func (d *NetDev) receive(c ib.Completion) {
+	if c.Op != ib.OpRecv {
+		return // send completions need no action
+	}
+	d.rxPkts++
+	if qp := d.qpByQPN(c.QPN); qp != nil {
+		qp.PostRecv(ib.RecvWR{})
+	}
+	if d.handler != nil {
+		d.handler(c.SrcLID, c.Meta, c.Bytes-EncapHeader, c.ECN)
+	}
 }
 
 func (d *NetDev) qpByQPN(qpn int) *ib.QP {

@@ -83,48 +83,51 @@ func ServeRDMA(node *cluster.Node, threads int, h Handler) *RDMAServer {
 		issueCtx: sim.NewResource(env, 1),
 		cq:       ib.NewCQ(env),
 	}
-	// Single CQ consumer: routes inbound calls to handler processes and
-	// fragment completions to their waiting groups.
-	env.Go("rpc-rdma-server", func(p *sim.Proc) {
-		for {
-			c := s.cq.Poll(p)
-			if c.Status != ib.StatusOK {
-				// Errored connection: a flushed receive carries no call,
-				// but a failed fragment must still count down its group or
-				// the handler waiting on it would hang forever.
-				if g, ok := c.Ctx.(*fragGroup); ok {
-					g.remaining--
-					if g.remaining == 0 {
-						g.done.Trigger(nil)
-					}
-				}
-				continue
-			}
-			switch c.Op {
-			case ib.OpRecv:
-				s.repostByQPN(c.QPN)
-				w := c.Meta.(*rdmaWire)
-				localQPN := c.QPN
-				s.env.Go("rpc-rdma-handler", func(ph *sim.Proc) {
-					s.serve(ph, w, localQPN)
-				})
-			case ib.OpRDMAWrite, ib.OpRDMARead:
-				if g, ok := c.Ctx.(*fragGroup); ok {
-					g.remaining--
-					if g.remaining == 0 {
-						g.done.Trigger(nil)
-					}
-				}
-			}
-		}
-	})
+	s.cq.Serve(s.complete)
 	return s
+}
+
+// complete is the server's single CQ consumer, run as the CQ's completion
+// handler: it routes inbound calls to handler processes and fragment
+// completions to their waiting groups. It never blocks, so it is a
+// callback, not a process.
+func (s *RDMAServer) complete(c ib.Completion) {
+	if c.Status != ib.StatusOK {
+		// Errored connection: a flushed receive carries no call, but a
+		// failed fragment must still count down its group or the handler
+		// waiting on it would hang forever.
+		if g, ok := c.Ctx.(*fragGroup); ok {
+			g.countDown()
+		}
+		return
+	}
+	switch c.Op {
+	case ib.OpRecv:
+		s.repostByQPN(c.QPN)
+		w := c.Meta.(*rdmaWire)
+		localQPN := c.QPN
+		s.env.Go("rpc-rdma-handler", func(ph *sim.Proc) {
+			s.serve(ph, w, localQPN)
+		})
+	case ib.OpRDMAWrite, ib.OpRDMARead:
+		if g, ok := c.Ctx.(*fragGroup); ok {
+			g.countDown()
+		}
+	}
 }
 
 // fragGroup tracks a batch of outstanding direct-placement fragments.
 type fragGroup struct {
 	remaining int
 	done      *sim.Event
+}
+
+// countDown retires one fragment, firing done after the last.
+func (g *fragGroup) countDown() {
+	g.remaining--
+	if g.remaining == 0 {
+		g.done.Trigger(nil)
+	}
 }
 
 func (s *RDMAServer) repostByQPN(qpn int) {

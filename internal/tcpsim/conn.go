@@ -50,6 +50,9 @@ type segment struct {
 	refs int32
 	// inUnacked marks membership in the sender's retransmission queue.
 	inUnacked bool
+	// home is the stack whose pool the segment was created for and
+	// returns to (nil on a sharded world, where segments are not pooled).
+	home *Stack
 }
 
 // span is a run of stream bytes, possibly synthetic.
@@ -96,12 +99,12 @@ type Conn struct {
 	lossRecovery bool
 	// sendCWR schedules a congestion-window-reduced confirmation on the
 	// next data segment, answering the receiver's ECE echo.
-	sendCWR bool
-	sendQ          sim.Ring[span]
-	sendQBytes     int
-	unacked        sim.Ring[*segment] // retransmission queue (go-back-N)
-	writeWaiters   sim.Ring[*sim.Event]
-	rtoGen         int
+	sendCWR      bool
+	sendQ        sim.Ring[span]
+	sendQBytes   int
+	unacked      sim.Ring[*segment] // retransmission queue (go-back-N)
+	writeWaiters sim.Ring[*sim.Event]
+	rtoGen       int
 	// rtos holds the armed retransmission timers, one per ack that made
 	// progress, nearly all of them stale by the time they fire; as a line
 	// they take one heap slot (see sim.Line).

@@ -117,14 +117,15 @@ type Stack struct {
 	listeners map[int]*Listener
 	conns     map[connKey]*Conn
 	nextPort  int
-	txq       *sim.Queue[*segment]
-	rxq       *sim.Queue[*segment]
+	txq       *serialCtx // transmit context
+	rxq       *serialCtx // receive context (softirq)
 	stats     StackStats
 	// segFree recycles segment objects. Like the fabric's packet pool it
 	// is a plain slice touched only from the stack's environment, so reuse
-	// is deterministic. A segment may be created on one stack and freed on
-	// the peer's (control segments are consumed at the receiver); each
-	// stack simply pools whatever it frees.
+	// is deterministic. A segment may be freed on the peer's stack
+	// (control segments are consumed at the receiver); it still returns to
+	// its home stack's pool, so a one-way flow's acks do not pile up at
+	// the sender while the receiver allocates a fresh one per segment.
 	segFree []*segment
 	// sharded marks a stack living on a shard view of a partitioned world.
 	// Mirroring the fabric's policy, sharded stacks never pool segments: a
@@ -170,7 +171,7 @@ func (s *Stack) newSegment() *segment {
 		s.segFree = s.segFree[:n-1]
 		return seg
 	}
-	return &segment{}
+	return &segment{home: s}
 }
 
 // transmit hands a segment to the transmit context, counting the flight.
@@ -179,7 +180,7 @@ func (s *Stack) newSegment() *segment {
 // falls back to the garbage collector).
 func (s *Stack) transmit(seg *segment) {
 	atomic.AddInt32(&seg.refs, 1)
-	s.txq.TryPut(seg)
+	s.txq.put(seg)
 }
 
 // unrefSegment ends one flight of seg.
@@ -203,9 +204,9 @@ func (s *Stack) maybeFreeSegment(seg *segment) {
 		for i := range spans {
 			spans[i] = span{}
 		}
-		*seg = segment{}
-		seg.spans = spans[:0]
-		s.segFree = append(s.segFree, seg)
+		home := seg.home
+		*seg = segment{home: home, spans: spans[:0]}
+		home.segFree = append(home.segFree, seg)
 	}
 }
 
@@ -218,8 +219,9 @@ type StackStats struct {
 	Resets                 int64    // connections reset by the recovery machinery
 }
 
-// NewStack binds a TCP stack to an IPoIB interface and starts its transmit
-// and receive contexts.
+// NewStack binds a TCP stack to an IPoIB interface and arms its transmit
+// and receive contexts (serialized callback contexts, not processes; see
+// serialCtx).
 func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
@@ -238,22 +240,20 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 		listeners: make(map[int]*Listener),
 		conns:     make(map[connKey]*Conn),
 		nextPort:  40000,
-		txq:       sim.NewQueue[*segment](dev.Env(), 0),
-		rxq:       sim.NewQueue[*segment](dev.Env(), 0),
 	}
 	if tel := telemetry.FromEnv(s.env); tel != nil && tel.Metrics != nil {
 		m := tel.Metrics
 		s.obs = stackObs{
-			txSegs:      m.Counter("tcp.tx.segments"),
-			rxSegs:      m.Counter("tcp.rx.segments"),
-			txBytes:     m.Counter("tcp.tx.bytes"),
-			rxBytes:     m.Counter("tcp.rx.bytes"),
-			retransmits: m.Counter("tcp.retransmits"),
-			resets:      m.Counter("tcp.conn.resets"),
-			segDrops:    m.Counter("tcp.seg.drops"),
-			segProcNS:   m.Histogram("tcp.segment.proc.ns"),
-			ecnCE:       m.Counter("tcp.ecn.ce.segments"),
-			ecnCuts:     m.Counter("tcp.ecn.cwnd.cuts"),
+			txSegs:          m.Counter("tcp.tx.segments"),
+			rxSegs:          m.Counter("tcp.rx.segments"),
+			txBytes:         m.Counter("tcp.tx.bytes"),
+			rxBytes:         m.Counter("tcp.rx.bytes"),
+			retransmits:     m.Counter("tcp.retransmits"),
+			resets:          m.Counter("tcp.conn.resets"),
+			segDrops:        m.Counter("tcp.seg.drops"),
+			segProcNS:       m.Histogram("tcp.segment.proc.ns"),
+			ecnCE:           m.Counter("tcp.ecn.ce.segments"),
+			ecnCuts:         m.Counter("tcp.ecn.cwnd.cuts"),
 			fastRetransmits: m.Counter("tcp.fast.retransmits"),
 		}
 	}
@@ -277,50 +277,54 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 			// the CE codepoint for the receive path to echo as ECE.
 			seg.ce = true
 		}
-		s.rxq.TryPut(seg)
+		s.rxq.put(seg)
 	})
-	name := fmt.Sprintf("tcp-%d", dev.LID())
-	// Transmit context: serialized per-segment send processing.
-	s.env.Go(name+"-tx", func(p *sim.Proc) {
-		for {
-			seg := s.txq.Get(p)
-			c := segCPU(seg.length)
-			s.stats.TxSegments++
-			s.stats.TxBytes += int64(seg.length)
-			s.stats.TxBusy += c
-			s.obs.txSegs.Add(1)
-			s.obs.txBytes.Add(int64(seg.length))
-			s.obs.segProcNS.Observe(int64(c))
-			p.Sleep(c)
-			if s.dropFn != nil && s.dropFn(seg.length+HeaderBytes) {
-				// TCP-layer fault injection: the segment is lost after
-				// transmit processing. End its flight; data segments stay
-				// in the sender's retransmission queue.
-				s.stats.SegDrops++
-				s.obs.segDrops.Add(1)
-				s.unrefSegment(seg)
-				continue
-			}
-			s.dev.Send(seg.dst, seg, seg.length+HeaderBytes)
-		}
-	})
-	// Receive context (softirq): serialized per-segment receive
-	// processing for every flow on the interface.
-	s.env.Go(name+"-rx", func(p *sim.Proc) {
-		for {
-			seg := s.rxq.Get(p)
-			c := segCPU(seg.length)
-			s.stats.RxSegments++
-			s.stats.RxBytes += int64(seg.length)
-			s.stats.RxBusy += c
-			s.obs.rxSegs.Add(1)
-			s.obs.rxBytes.Add(int64(seg.length))
-			p.Sleep(c)
-			s.dispatch(seg)
-			s.unrefSegment(seg)
-		}
-	})
+	s.txq = newSerialCtx(s.env, s.txStart, s.txFinish)
+	s.rxq = newSerialCtx(s.env, s.rxStart, s.rxFinish)
 	return s
+}
+
+// txStart charges transmit-side processing for seg.
+func (s *Stack) txStart(seg *segment) sim.Time {
+	c := segCPU(seg.length)
+	s.stats.TxSegments++
+	s.stats.TxBytes += int64(seg.length)
+	s.stats.TxBusy += c
+	s.obs.txSegs.Add(1)
+	s.obs.txBytes.Add(int64(seg.length))
+	s.obs.segProcNS.Observe(int64(c))
+	return c
+}
+
+// txFinish puts a processed segment on the wire.
+func (s *Stack) txFinish(seg *segment) {
+	if s.dropFn != nil && s.dropFn(seg.length+HeaderBytes) {
+		// TCP-layer fault injection: the segment is lost after transmit
+		// processing. End its flight; data segments stay in the sender's
+		// retransmission queue.
+		s.stats.SegDrops++
+		s.obs.segDrops.Add(1)
+		s.unrefSegment(seg)
+		return
+	}
+	s.dev.Send(seg.dst, seg, seg.length+HeaderBytes)
+}
+
+// rxStart charges receive-side processing for seg.
+func (s *Stack) rxStart(seg *segment) sim.Time {
+	c := segCPU(seg.length)
+	s.stats.RxSegments++
+	s.stats.RxBytes += int64(seg.length)
+	s.stats.RxBusy += c
+	s.obs.rxSegs.Add(1)
+	s.obs.rxBytes.Add(int64(seg.length))
+	return c
+}
+
+// rxFinish hands a processed segment to its connection and ends its flight.
+func (s *Stack) rxFinish(seg *segment) {
+	s.dispatch(seg)
+	s.unrefSegment(seg)
 }
 
 // Stats returns a snapshot of the stack counters.
